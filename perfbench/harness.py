@@ -1,16 +1,55 @@
-"""Measurement plumbing shared by every workload: the output oracle, the
-per-run recorder, the summary statistics and the host metadata.
+"""Measurement plumbing shared by every workload: the host clock, the
+output oracle, the per-run recorder, the summary statistics and the host
+metadata.
 
 Nothing here imports :mod:`repro`.
+
+The host clock
+--------------
+
+A run is pinned to one CPU (``run.pin_to_one_cpu``) before it starts a
+thread or a process, and every host time is read on :data:`CLOCK`: the
+CPU time of this process (all its threads) plus that of every live child
+process it started.  The program keeps that one CPU busy from the start
+of an op to its end (rank threads and worker processes hand off to each
+other and never sleep; ``busy_frac`` reads 0.99-1.00 on every workload),
+so on a CPU nobody else uses the clock reads what a wall clock would.
+When the host takes the CPU away, to another process or as hypervisor
+steal (on a kernel that accounts steal time), the wall clock counts the
+gap and this clock does not.  On a two-CPU virtual machine, a busy loop
+sharing the pinned CPU cut the wall-clock rate of ``collective_small``
+by 26% and moved the figures on this clock by under 2%.  Unpinned, the
+eight rank threads of the thread backend contend for the interpreter
+lock across both CPUs, and how often a handoff crosses CPUs follows
+whatever else the host runs: there, a busy loop on one CPU made
+``collective_small`` and ``job_stream`` 40-65% *faster*.
+
+The pinned CPU's speed still drifts with what else the physical host
+runs, by up to 1.7x in spells lasting minutes, and the program's CPU
+cost per op drifts with it.  So an untraced run also runs
+``yardstick.py`` beside the program on the same CPU (:class:`Yardstick`)
+and reports every end-to-end time scaled to the reference speed
+:data:`REFERENCE_SPEED`: times in ``ref_ms``, rates per ``ref_s``.
+In ten 30-second runs of each workload on a two-CPU virtual machine, the
+spread (quartile distance over median) of ``ops_per_s`` was 0.02-0.07
+scaled against 0.08-0.12 unscaled.  Each
+record states the clock, the yardstick's median speed, the unscaled
+figures and the share of wall time the program was on its CPU
+(``busy_frac``).
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import multiprocessing
 import os
 import platform
 import resource
 import statistics
+import subprocess
+import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Hashable
@@ -26,20 +65,101 @@ MIN_OPS = TAIL_MIN_BEYOND + 1
 #: a run's p99.9 moves with every few-millisecond stall of a shared host,
 #: p90 of a 100-op window moves with the host's load like the median does.
 TAIL_WINDOW = 100
-#: Throughput is the median over at most this many consecutive chunks of
-#: completions (each at least MARK_CHUNK_MIN), so a burst of host noise
-#: in one part of the run moves it less.
-N_CHUNKS = 5
-MARK_CHUNK_MIN = 5
 
 
-def chunks(seq: list, min_size: int, most: int | None = None) -> list[list]:
+#: Name of the host clock, as every record states it.
+CLOCK_NAME = (
+    "program CPU time on one pinned CPU, end-to-end figures scaled to "
+    "the reference yardstick speed"
+)
+#: Yardstick loop iterations per CPU microsecond of the reference CPU,
+#: about what a 2 GHz Xeon runs when its host is busy.
+REFERENCE_SPEED = 10.0
+
+
+def _process_cpu_clock(pid: int) -> int:
+    """Linux's clock id of the CPU time of process ``pid`` (all its
+    threads), as ``clock_getcpuclockid(3)`` makes it."""
+    return ((~pid) << 3) | 2
+
+
+class ProgramClock:
+    """CPU time of this process plus that of the child processes that
+    :meth:`track_children` last found alive, in nanoseconds.
+
+    Call :meth:`track_children` after the program started or stopped
+    child processes and before reading times that should include them.
+    A child that exits takes its CPU time out of the sum, so no timed
+    interval may span a child's exit.
+    """
+
+    def __init__(self) -> None:
+        self._children: tuple[int, ...] = ()
+
+    def track_children(self) -> int:
+        """Start counting every live child process; returns how many."""
+        self._children = tuple(
+            _process_cpu_clock(p.pid) for p in multiprocessing.active_children()
+        )
+        return len(self._children)
+
+    def now_ns(self) -> int:
+        t = time.clock_gettime_ns(time.CLOCK_PROCESS_CPUTIME_ID)
+        for clock in self._children:
+            try:
+                t += time.clock_gettime_ns(clock)
+            except OSError:  # exited since it was tracked
+                pass
+        return t
+
+
+CLOCK = ProgramClock()
+#: The host clock every timing of a run reads.
+now_ns = CLOCK.now_ns
+
+
+class Yardstick:
+    """``yardstick.py`` running beside the body of a ``with`` block, on
+    the CPU this process is pinned to (a child inherits the pinning).
+    Not a multiprocessing child, so :data:`CLOCK` never counts it.
+    Leaving the block stops it and waits for it."""
+
+    def __init__(self) -> None:
+        self.rates: list[float] = []
+        self._proc: subprocess.Popen | None = None
+
+    def __enter__(self) -> "Yardstick":
+        self._proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).with_name("yardstick.py"))],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        try:
+            out, _ = self._proc.communicate(timeout=30)  # closes its stdin
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            raise
+        self.rates = json.loads(out)
+
+    @property
+    def speed(self) -> float:
+        """Median yardstick rate, iterations per CPU microsecond."""
+        return statistics.median(self.rates)
+
+    @property
+    def scale(self) -> float:
+        """Reference seconds per program CPU second."""
+        return self.speed / REFERENCE_SPEED
+
+
+def chunks(seq: list, min_size: int) -> list[list]:
     """``seq`` cut into as many consecutive chunks of at least
-    ``min_size`` items as it holds (at most ``most``; one chunk when
-    there are too few), whose sizes differ by at most one."""
+    ``min_size`` items as it holds (one chunk when there are too few),
+    whose sizes differ by at most one."""
     k = max(1, len(seq) // min_size)
-    if most is not None:
-        k = min(k, most)
     bounds = [len(seq) * i // k for i in range(k + 1)]
     return [seq[bounds[i] : bounds[i + 1]] for i in range(k)]
 
@@ -167,13 +287,12 @@ class Recorder:
         return sum(m[1] for m in self.marks)
 
     def ops_per_s(self) -> float:
-        """Median over chunks of completions of ops per busy second."""
-        rates = [
-            sum(m[0] for m in c) / sum(m[1] for m in c)
-            for c in chunks(self.marks, MARK_CHUNK_MIN, N_CHUNKS)
-            if c and sum(m[1] for m in c) > 0
-        ]
-        return statistics.median(rates) if rates else 0.0
+        """Ops completed per busy second over the whole segment.  The
+        CPU cost of an op drifts by 10-20% between regimes lasting
+        seconds, at a constant number of thread switches per op, so the
+        whole-run rate is steadier than a median over chunks."""
+        busy = self.busy_s
+        return self.ops / busy if busy > 0 else 0.0
 
 
 def peak_rss_mb() -> float:
@@ -205,14 +324,15 @@ def git_commit(root: Path) -> str:
     return "unknown"
 
 
-def host_metadata(root: Path, backend: str, why: str) -> dict[str, Any]:
-    """What every result record carries about where it was measured."""
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        usable = os.cpu_count() or 1
+def host_metadata(
+    root: Path, backend: str, why: str, nproc: int, cpu: int
+) -> dict[str, Any]:
+    """What every result record carries about where it was measured:
+    ``nproc`` CPUs were usable before the run pinned itself to ``cpu``."""
     return {
-        "nproc": usable,
+        "nproc": nproc,
+        "pinned_cpu": cpu,
+        "clock": CLOCK_NAME,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

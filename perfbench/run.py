@@ -8,7 +8,11 @@ Usage, from the root of a checkout::
 
 ``--trace 0`` sets up the workload several times (reporting the median
 set-up time), then runs its closed loop for ``--seconds`` and reports
-the ``end_to_end`` metrics of ``BENCHMARK.json``.  ``--trace 1`` runs
+the ``end_to_end`` metrics of ``BENCHMARK.json``.  A run pins itself to
+one CPU first and reads every host time on the program's CPU-time clock,
+so a host that lends the CPU to someone else lengthens the run, not the
+figures; the end-to-end times are scaled to a reference CPU speed that
+a yardstick loop measures beside the program (see ``harness.py``).  ``--trace 1`` runs
 half the time untraced and half with host-time probes around each
 layer's public functions (see ``tracing.py``) and the ``repro.obs``
 tracer on, and reports the ``per_layer`` metrics; its spans are written
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -37,8 +42,23 @@ from typing import Any
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-#: Set-ups per untraced run; ``setup_s`` is their median.
+#: An untraced run sets up at least N_SETUPS times and until the set-ups
+#: took SETUP_MIN_S seconds (at most SETUP_MOST times); ``setup_s`` is
+#: their median.  ``job_stream``'s 6-10 ms set-ups fall in two clusters
+#: whose shares drift, so it takes 200 of them.
 N_SETUPS = 5
+SETUP_MIN_S = 1.5
+SETUP_MOST = 200
+
+
+def pin_to_one_cpu() -> tuple[int, int]:
+    """Restrict the calling thread, and every thread and process it
+    starts afterwards, to the lowest-numbered CPU it may run on.
+    Returns ``(CPUs usable before, the CPU)``.  Call it before anything
+    starts a thread: NumPy's BLAS starts its own when imported."""
+    usable = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {usable[0]})
+    return len(usable), usable[0]
 
 
 def _import_program() -> None:
@@ -76,33 +96,55 @@ def _emit(names: list[dict], values: dict[str, float]) -> dict[str, Any]:
 
 
 def run_untraced(wl: Any, seconds: float) -> tuple[dict, dict, Any]:
-    from harness import MIN_OPS, Oracle, Recorder, peak_rss_mb, windowed_tail
+    from harness import (
+        CLOCK, MIN_OPS, REFERENCE_SPEED, Oracle, Recorder, Yardstick, now_ns,
+        peak_rss_mb, windowed_tail,
+    )
 
     oracle = Oracle()
-    setups = []
-    for i in range(N_SETUPS):
-        t0 = time.perf_counter()
-        wl.setup(oracle)
-        setups.append(time.perf_counter() - t0)
-        if i < N_SETUPS - 1:
-            wl.teardown()
+    setups: list[float] = []
     rec = Recorder()
-    try:
-        wl.run(seconds, rec, oracle, min_ops=MIN_OPS)
-    finally:
-        wl.teardown()
+    with Yardstick() as yard:
+        try:
+            while len(setups) < N_SETUPS or (
+                sum(setups) < SETUP_MIN_S and len(setups) < SETUP_MOST
+            ):
+                if setups:
+                    wl.teardown()
+                CLOCK.track_children()  # none: the last set-up was torn down
+                t0 = now_ns()
+                wl.setup(oracle)
+                children = CLOCK.track_children()  # the engine's workers
+                setups.append((now_ns() - t0) / 1e9)
+            w0, c0 = time.perf_counter(), now_ns()
+            wl.run(seconds, rec, oracle, min_ops=MIN_OPS)
+            wall_s, cpu_s = time.perf_counter() - w0, (now_ns() - c0) / 1e9
+        finally:
+            wl.teardown()
+        rss = peak_rss_mb()  # before the yardstick process is reaped
     pct, tail, window, windows = windowed_tail(rec.latencies_s)
     vtime, msgs = oracle.per_op_clock()
-    values = {
+    cpu_values = {
         "setup_s": statistics.median(setups),
         "ops_per_s": rec.ops_per_s(),
         "op_ms_p50": statistics.median(rec.latencies_s) * 1e3,
         "op_ms_tail": tail * 1e3,
+    }
+    scale = yard.scale
+    values = {
+        "setup_s": cpu_values["setup_s"] * scale,
+        "ops_per_s": cpu_values["ops_per_s"] / scale,
+        "op_ms_p50": cpu_values["op_ms_p50"] * scale,
+        "op_ms_tail": cpu_values["op_ms_tail"] * scale,
         "vtime_us_per_op": vtime,
         "msgs_per_op": msgs,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": rss,
     }
     detail = {
+        "unscaled_cpu_figures": cpu_values,
+        "yardstick_speed": yard.speed,
+        "yardstick_slices": len(yard.rates),
+        "reference_speed": REFERENCE_SPEED,
         "setup_samples_s": setups,
         "tail_percentile": pct,
         "tail_window": window,
@@ -111,6 +153,9 @@ def run_untraced(wl: Any, seconds: float) -> tuple[dict, dict, Any]:
         "ops": rec.ops,
         "jobs": rec.jobs,
         "busy_s": rec.busy_s,
+        "child_processes": children,
+        "wall_s": wall_s,
+        "busy_frac": cpu_s / wall_s,
         "fail_frac": oracle.fail_frac,
     }
     return values, detail, oracle
@@ -127,7 +172,7 @@ def _engine_counters(wl: Any) -> dict[str, int]:
 
 
 def run_traced(wl: Any, seconds: float) -> tuple[dict, dict, Any]:
-    from harness import Oracle, Recorder
+    from harness import CLOCK, Oracle, Recorder
     from tracing import (
         NULL_STORE,
         LayerTotals,
@@ -140,6 +185,7 @@ def run_traced(wl: Any, seconds: float) -> tuple[dict, dict, Any]:
 
     oracle = Oracle()
     wl.setup(oracle)
+    CLOCK.track_children()
     try:
         plain = Recorder()
         wl.run(seconds / 2, plain, oracle, min_ops=1)
@@ -254,6 +300,7 @@ def _stop_resource_tracker() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    nproc, cpu = pin_to_one_cpu()
     _import_program()
     from harness import host_metadata
     from workloads import WORKLOADS
@@ -284,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": host_metadata(
             ROOT, wl.backend,
             next(w["why"] for w in spec["workloads"] if w["name"] == wl.name),
+            nproc, cpu,
         ),
         **detail,
         "attempted": oracle.attempted,

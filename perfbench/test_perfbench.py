@@ -1,13 +1,15 @@
-"""The benchmark's own tests: the tail rule, the span arithmetic and the
-output oracle.  Run from the root of a checkout::
+"""The benchmark's own tests: the host clock, the tail rule, the span
+arithmetic and the output oracle.  Run from the root of a checkout::
 
     python3 -m pytest perfbench/test_perfbench.py -q
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,14 @@ import pytest
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from harness import Oracle, tail_percentile, windowed_tail  # noqa: E402
+from harness import (  # noqa: E402
+    REFERENCE_SPEED,
+    Oracle,
+    ProgramClock,
+    Yardstick,
+    tail_percentile,
+    windowed_tail,
+)
 from tracing import (  # noqa: E402
     END,
     NAME,
@@ -26,6 +35,50 @@ from tracing import (  # noqa: E402
     self_times,
     unattributed_frac,
 )
+
+
+# -- the host clock -------------------------------------------------------------
+
+
+def _spin_on_request(conn):
+    conn.recv()
+    end = time.process_time() + 0.3
+    while time.process_time() < end:
+        pass
+    conn.send("spun")
+    conn.recv()
+
+
+def test_program_clock_counts_a_live_child_process():
+    here, there = multiprocessing.get_context("fork").Pipe()
+    child = multiprocessing.get_context("fork").Process(
+        target=_spin_on_request, args=(there,)
+    )
+    child.start()
+    try:
+        clock = ProgramClock()
+        assert clock.track_children() == 1
+        own0 = time.process_time()
+        t0 = clock.now_ns()
+        here.send("go")
+        assert here.recv() == "spun"  # blocks: this process stays idle
+        t1 = clock.now_ns()
+        own = time.process_time() - own0
+        assert (t1 - t0) / 1e9 >= 0.3 and own < 0.1
+        # Untracked, the child's CPU time is not on the clock.
+        assert ProgramClock().now_ns() < clock.now_ns() - 0.25e9
+    finally:
+        here.send("exit")
+        child.join(10)
+    assert child.exitcode == 0
+
+
+def test_yardstick_measures_until_the_block_ends_and_exits():
+    with Yardstick() as yard:
+        time.sleep(1.2)  # slices at 0, 0.5 and 1.0 s
+    assert yard._proc.returncode == 0
+    assert len(yard.rates) >= 2 and min(yard.rates) > 0
+    assert yard.scale == pytest.approx(yard.speed / REFERENCE_SPEED)
 
 
 # -- the tail percentile ------------------------------------------------------

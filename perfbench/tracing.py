@@ -1,5 +1,6 @@
 """The traced run: host-time spans around each layer's public functions,
-recorded from outside the program.
+recorded from outside the program on the run's host clock
+(:data:`harness.CLOCK`).
 
 :func:`install_probes` wraps the functions and methods in
 :data:`PROBES`.  A function is re-bound in every loaded module that
@@ -29,8 +30,9 @@ import sys
 import threading
 from collections import defaultdict
 from pathlib import Path
-from time import perf_counter_ns
 from typing import Any, Callable, Hashable, Iterable, Iterator
+
+from harness import now_ns
 
 # Span record layout.
 NAME, START, END, PARENT, OP, AMOUNT, HIT = range(7)
@@ -74,14 +76,14 @@ class SpanStore:
 
     def fn_enter(self, job: Hashable) -> None:
         """A rank entered the job function (first entry wins)."""
-        t = perf_counter_ns()
+        t = now_ns()
         with self._lock:
             slot = self.stamps.setdefault(job, [t, t])
             slot[0] = min(slot[0], t)
 
     def fn_exit(self, job: Hashable) -> None:
         """A rank left the job function (last exit wins)."""
-        t = perf_counter_ns()
+        t = now_ns()
         with self._lock:
             slot = self.stamps.setdefault(job, [t, t])
             slot[1] = max(slot[1], t)
@@ -114,11 +116,11 @@ class SpanStore:
             after = hit(*args, **kwargs) if hit is not None else None
             stack.append(len(spans))
             spans.append(rec)
-            rec[START] = perf_counter_ns()
+            rec[START] = now_ns()
             try:
                 return fn(*args, **kwargs)
             finally:
-                rec[END] = perf_counter_ns()
+                rec[END] = now_ns()
                 stack.pop()
                 if after is not None:
                     rec[HIT] = after()

@@ -40,7 +40,7 @@ from repro.ops.recurrence import AffineOp
 from repro.runtime.costmodel import cluster_2006
 from repro.util.rng import MOD46, randlc_array
 
-from harness import Oracle, Recorder
+from harness import Oracle, Recorder, now_ns
 from tracing import NULL_STORE, VirtualPhases
 
 #: Tolerance of an order-dependent float fold against its NumPy reference.
@@ -159,13 +159,13 @@ class Workload:
              tracer: bool, phases: VirtualPhases | None) -> None:
         job = self._op_id()
         self.store.set_op(job)
-        t0 = time.perf_counter_ns()
+        t0 = now_ns()
         try:
             res = self._call(job, k, tracer)
         except Exception as exc:  # noqa: BLE001 - counted, run goes on
             oracle.raised(exc, 1)
             return
-        t1 = time.perf_counter_ns()
+        t1 = now_ns()
         if rec is not None:
             rec.latencies_s.append((t1 - t0) / 1e9)
             rec.mark(1, (t1 - t0) / 1e9)
@@ -263,14 +263,14 @@ class CollectiveSmall(Workload):
                 for j in range(3):
                     op = op_base + 3 * i + j
                     set_op(op)
-                    t0 = time.perf_counter_ns()
+                    t0 = now_ns()
                     if j == 0:
                         out = global_reduce(comm, SumOp(), sums[k, r])
                     elif j == 1:
                         out = global_scan(comm, SumOp(), sums[k, r])
                     else:
                         out = global_scan(comm, AffineOp(), affine[k, r])
-                    stamps.append((op, t0, time.perf_counter_ns()))
+                    stamps.append((op, t0, now_ns()))
                     outs.append(out)
             return outs, (stamps if r == 0 else None)
 
@@ -313,7 +313,7 @@ class CollectiveSmall(Workload):
              phases: VirtualPhases | None) -> None:
         n = self._op_id()
         job = ("job", n)  # the job's key; its collectives are ops n*1000+i
-        t0 = time.perf_counter_ns()
+        t0 = now_ns()
         try:
             res = self._submit(
                 self.job_fn, job, tracer,
@@ -322,7 +322,7 @@ class CollectiveSmall(Workload):
         except Exception as exc:  # noqa: BLE001 - counted, run goes on
             oracle.raised(exc, self.OPS_PER_JOB)
             return
-        t1 = time.perf_counter_ns()
+        t1 = now_ns()
         self._check_job(res, oracle)
         if phases is not None:
             phases.add(res.profile)
@@ -392,7 +392,7 @@ class JobStream(Workload):
     def _send(self, k: int, tracer: bool):
         job = self._op_id()
         x = self.inputs[k]
-        t0 = time.perf_counter_ns()
+        t0 = now_ns()
         handle = self._submit(self.job_fn, job, tracer, nprocs=len(x),
                               args=(job, x))
         return job, k, t0, handle
@@ -401,7 +401,7 @@ class JobStream(Workload):
         deadline = time.perf_counter() + seconds
         inflight: deque = deque()
         sent = 0
-        t_prev = time.perf_counter_ns()
+        t_prev = now_ns()
         while True:
             more = time.perf_counter() < deadline or sent < min_ops
             while more and len(inflight) < self.OUTSTANDING:
@@ -416,7 +416,7 @@ class JobStream(Workload):
             except Exception as exc:  # noqa: BLE001 - counted, run goes on
                 oracle.raised(exc, 1)
                 continue
-            t1 = time.perf_counter_ns()
+            t1 = now_ns()
             if rec is not None:
                 # Two jobs overlap: the loop was busy since the previous
                 # completion, not for the whole latency.
