@@ -3,8 +3,9 @@
 The grid is distributed over a 3-D process grid (``MPI_Dims_create``
 style factoring).  ZRAN3 fills the array with the shared ``randlc``
 stream in Fortran element order (x fastest), which we reproduce exactly:
-each rank generates its own sub-block line by line using the generator's
-jump-ahead, so the grid contents are bit-identical for any process
+each rank generates its own sub-block as one lattice of the global
+stream (:func:`~repro.util.rng.randlc_lattice`, one log-doubling jump-ahead
+pass per axis), so the grid contents are bit-identical for any process
 count — the property that lets the 40-reduction and 1-reduction variants
 be checked against each other.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 from repro.mpi.topology import dims_create
-from repro.util.rng import RANDLC_SEED, randlc_array
+from repro.util.rng import RANDLC_SEED, randlc_lattice
 
 __all__ = ["Block3D", "fill_zran_block"]
 
@@ -97,21 +98,14 @@ class Block3D:
 def fill_zran_block(block: Block3D, *, seed: int = RANDLC_SEED) -> np.ndarray:
     """This rank's grid values, flat in local x-fastest order.
 
-    Generates exactly the rank's slice of the global randlc stream (one
-    jump-ahead per (y, z) line), bit-identical to a serial fill.
+    Generates exactly the rank's slice of the global randlc stream — the
+    (z, y, x) lattice with strides ``(nx*ny, nx, 1)`` starting at the
+    block's first element — bit-identical to a serial fill.
     """
     (x0, x1), (y0, y1), (z0, z1) = block.bounds
-    sx = x1 - x0
-    # Fast path: a full x-y slab owns a contiguous run of the stream
-    # (common — dims_create puts the largest process-grid factor on z).
-    if sx == block.nx and (y1 - y0) == block.ny:
-        skip = block.global_linear(x0, y0, z0)
-        return randlc_array(block.n_local, seed=seed, skip=skip)
-    out = np.empty(block.n_local, dtype=np.float64)
-    pos = 0
-    for iz in range(z0, z1):
-        for iy in range(y0, y1):
-            skip = block.global_linear(x0, iy, iz)
-            out[pos : pos + sx] = randlc_array(sx, seed=seed, skip=skip)
-            pos += sx
-    return out
+    return randlc_lattice(
+        (z1 - z0, y1 - y0, x1 - x0),
+        (block.nx * block.ny, block.nx, 1),
+        seed,
+        skip=block.global_linear(x0, y0, z0),
+    ).ravel()

@@ -68,22 +68,12 @@ def _setup(
 
 
 def _plant(
-    values_shape: int,
-    positions: np.ndarray,
-    top_pos: np.ndarray,
-    bot_pos: np.ndarray,
+    positions: np.ndarray, top_pos: np.ndarray, bot_pos: np.ndarray
 ) -> np.ndarray:
     """Zero block with +1 at owned top positions, -1 at owned bottoms."""
-    out = np.zeros(values_shape, dtype=np.float64)
-    pos_index = {int(g): i for i, g in enumerate(positions)}
-    for g in top_pos:
-        i = pos_index.get(int(g))
-        if i is not None:
-            out[i] = 1.0
-    for g in bot_pos:
-        i = pos_index.get(int(g))
-        if i is not None:
-            out[i] = -1.0
+    out = np.zeros(len(positions), dtype=np.float64)
+    out[np.isin(positions, top_pos)] = 1.0
+    out[np.isin(positions, bot_pos)] = -1.0
     return out
 
 
@@ -138,7 +128,7 @@ def zran3_mpi(
                 if len(local_hit):
                     chosen[local_hit[0]] = True
 
-    local = _plant(len(values), positions, top_positions, bot_positions)
+    local = _plant(positions, top_positions, bot_positions)
     return Zran3Result(
         local=local,
         top_positions=top_positions,
@@ -208,7 +198,7 @@ def zran3_mpi_fused(
             if len(hit):
                 chosen_b[hit[0]] = True
 
-    local = _plant(len(values), positions, top_positions, bot_positions)
+    local = _plant(positions, top_positions, bot_positions)
     return Zran3Result(
         local=local,
         top_positions=top_positions,
@@ -241,7 +231,7 @@ def zran3_rsmpi(
     top_positions = top[:, 1].astype(np.int64)
     bot_positions = bot[:, 1].astype(np.int64)
 
-    local = _plant(len(values), positions, top_positions, bot_positions)
+    local = _plant(positions, top_positions, bot_positions)
     return Zran3Result(
         local=local,
         top_positions=top_positions,

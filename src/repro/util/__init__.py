@@ -5,6 +5,7 @@ from repro.util.rng import (
     RANDLC_SEED,
     Randlc,
     randlc_array,
+    randlc_lattice,
     randlc_pow,
     randlc_skip,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "RANDLC_SEED",
     "Randlc",
     "randlc_array",
+    "randlc_lattice",
     "randlc_pow",
     "randlc_skip",
     "payload_nbytes",

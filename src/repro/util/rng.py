@@ -13,21 +13,19 @@ Two implementations are provided and tested against each other:
 
 * :class:`Randlc` — an exact scalar generator using Python integers,
   mirroring the reference ``randlc`` routine one value at a time.
-* :func:`randlc_array` — a vectorized generator that produces a block of
-  values with NumPy ``uint64`` arithmetic.  A 46-bit modular product does
-  not fit the naive ``uint64`` multiply, so the multiplication is split
-  into 23-bit halves exactly as the Fortran ``vranlc`` does::
+* :func:`randlc_lattice` (and its 1-D case :func:`randlc_array`) — a
+  vectorized generator that fills an n-D block of the global stream with
+  NumPy ``uint64`` arithmetic.  The 46-bit modular product is the plain
+  wraparound multiply ``(c * x) & (2**46 - 1)``: 2**46 divides 2**64, so
+  the low 46 bits of the wrapped 64-bit product are exact.  (The Fortran
+  ``vranlc`` splits the product into 23-bit halves only because it
+  computes in doubles.)
 
-      a = a1*2**23 + a0,  x = x1*2**23 + x0
-      t  = (a1*x0 + a0*x1) mod 2**23          # each product < 2**46
-      x' = (t*2**23 + a0*x0) mod 2**46        # each term   < 2**46
-
-  Every intermediate fits in 47 bits, hence in ``uint64``.
-
-The vectorized path fills a block by log-doubling: given values for
-indices ``[0, m)``, the values for ``[m, 2m)`` are the element-wise modular
-product of ``a**m mod 2**46`` with the first block.  This performs
-O(log n) vector passes instead of n scalar steps.
+The block is filled by log-doubling along each axis in turn: given the
+values at offsets ``[0, m)`` along an axis with stream stride ``s``, the
+values at ``[m, 2m)`` are the element-wise product of ``a**(m*s) mod
+2**46`` with the first run.  This is O(log n) vector passes per axis
+instead of one scalar step per value.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ __all__ = [
     "randlc_pow",
     "randlc_skip",
     "randlc_array",
+    "randlc_lattice",
 ]
 
 #: Default NPB multiplier, 5**13.
@@ -54,9 +53,14 @@ RANDLC_SEED: int = 314159265
 MOD46: int = 1 << 46
 
 _R46: float = 0.5 ** 46
-_MASK23 = np.uint64((1 << 23) - 1)
-_MASK46 = np.uint64((1 << 46) - 1)
-_SHIFT23 = np.uint64(23)
+_MASK46 = np.uint64(MOD46 - 1)
+
+
+def _check_generator(seed: int, a: int) -> None:
+    if not (0 < seed < MOD46):
+        raise ValueError(f"seed must be in (0, 2**46), got {seed}")
+    if not (0 < a < MOD46):
+        raise ValueError(f"multiplier must be in (0, 2**46), got {a}")
 
 
 def randlc_pow(a: int, n: int) -> int:
@@ -88,10 +92,7 @@ class Randlc:
     __slots__ = ("state", "a")
 
     def __init__(self, seed: int = RANDLC_SEED, a: int = RANDLC_A):
-        if not (0 < seed < MOD46):
-            raise ValueError(f"seed must be in (0, 2**46), got {seed}")
-        if not (0 < a < MOD46):
-            raise ValueError(f"multiplier must be in (0, 2**46), got {a}")
+        _check_generator(seed, a)
         self.state = int(seed)
         self.a = int(a)
 
@@ -124,13 +125,56 @@ class Randlc:
         return f"Randlc(state={self.state}, a={self.a})"
 
 
-def _mulmod46(c1: np.uint64, c0: np.uint64, x: np.ndarray) -> np.ndarray:
-    """Element-wise ``c * x mod 2**46`` for a 46-bit constant ``c`` split as
-    ``c = c1*2**23 + c0`` and a ``uint64`` array ``x`` of 46-bit values."""
-    x0 = x & _MASK23
-    x1 = x >> _SHIFT23
-    t = (c1 * x0 + c0 * x1) & _MASK23
-    return ((t << _SHIFT23) + c0 * x0) & _MASK46
+def randlc_lattice(
+    shape: tuple[int, ...],
+    strides: tuple[int, ...],
+    seed: int = RANDLC_SEED,
+    a: int = RANDLC_A,
+    *,
+    skip: int = 0,
+) -> np.ndarray:
+    """Return the randlc values on an n-D lattice of the global stream.
+
+    Element ``k`` of the result (a multi-index into ``shape``) is value
+    number ``skip + sum(k[i] * strides[i])`` of the stream, i.e. the value
+    ``Randlc(seed, a).skipped(skip + offset).next()``.  A 3-D grid block
+    stored x-fastest is the lattice of shape ``(sz, sy, sx)`` with strides
+    ``(nx*ny, nx, 1)``.
+
+    Each axis, innermost first, is filled by log-doubling: O(log n) NumPy
+    passes per axis, each over a contiguous run of the output.
+
+    Returns
+    -------
+    numpy.ndarray of float64 values in [0, 1), shape ``shape``.
+    """
+    _check_generator(seed, a)
+    if skip < 0:
+        raise ValueError(f"skip must be non-negative, got {skip}")
+    if len(shape) != len(strides) or min((*shape, *strides), default=0) < 0:
+        raise ValueError(
+            f"need non-negative shape and strides of one length, got {shape}, {strides}"
+        )
+    states = np.empty(shape, dtype=np.uint64)
+    if states.size == 0:
+        return states.astype(np.float64)
+    ndim = len(shape)
+    states[(0,) * ndim] = randlc_skip(seed, skip + 1, a)  # value #skip
+    for axis in reversed(range(ndim)):
+        lead = (0,) * axis
+        rest = (slice(None),) * (ndim - axis - 1)  # already filled
+        n, m = shape[axis], 1
+        while m < n:
+            step = min(m, n - m)
+            dst = states[lead + (slice(m, m + step),) + rest]
+            np.multiply(
+                states[lead + (slice(0, step),) + rest],
+                np.uint64(randlc_pow(a, m * strides[axis])),
+                out=dst,
+            )
+            np.bitwise_and(dst, _MASK46, out=dst)
+            m += step
+    return states.astype(np.float64) * _R46
 
 
 def randlc_array(
@@ -142,15 +186,15 @@ def randlc_array(
 ) -> np.ndarray:
     """Return the next ``n`` randlc values after skipping ``skip`` steps.
 
-    Equivalent to ``Randlc(seed).skipped(skip).next_n(n)`` but vectorized:
-    O(log n) NumPy passes over the output buffer.
+    Equivalent to ``Randlc(seed, a).skipped(skip).next_n(n)`` but
+    vectorized: the 1-D case of :func:`randlc_lattice`.
 
     Parameters
     ----------
     n:
         Number of values to produce.
     seed, a:
-        Generator seed and multiplier.
+        Generator seed and multiplier, validated like :class:`Randlc`.
     skip:
         Number of values of the stream to skip before the first returned
         value.  Lets each rank generate its block of a shared global
@@ -160,19 +204,4 @@ def randlc_array(
     -------
     numpy.ndarray of float64 values in [0, 1), shape ``(n,)``.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    start = randlc_skip(seed, skip + 1, a)  # state after producing value #skip
-    states = np.empty(n, dtype=np.uint64)
-    states[0] = start
-    m = 1
-    while m < n:
-        step = min(m, n - m)
-        c = randlc_pow(a, m)
-        c1 = np.uint64(c >> 23)
-        c0 = np.uint64(c & ((1 << 23) - 1))
-        states[m : m + step] = _mulmod46(c1, c0, states[:step])
-        m += step
-    return states.astype(np.float64) * _R46
+    return randlc_lattice((n,), (1,), seed, a, skip=skip)

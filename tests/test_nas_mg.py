@@ -9,11 +9,19 @@ from repro.nas.callcounts import census
 from repro.nas.common import MGClass
 from repro.nas.mg import MM, Block3D, fill_zran_block, zran3_mpi, zran3_rsmpi
 from repro.runtime import spmd_run
-from repro.util.rng import randlc_array
+from repro.util.rng import Randlc, randlc_array
 from tests.conftest import run_all
 
 TINY = MGClass("T", 8, 8, 8)
 SIZES = [1, 2, 3, 4, 6, 8]
+#: Rank counts for the fill checks; 13 on 8^3 is a 1x1x13 process grid in
+#: which ranks 8..12 own empty blocks.
+FILL_SIZES = SIZES + [5, 7, 12, 13]
+
+
+def _scalar_stream(n: int) -> np.ndarray:
+    """The first ``n`` stream values from the scalar reference generator."""
+    return np.array(Randlc().next_n(n))
 
 
 class TestBlock3D:
@@ -38,19 +46,23 @@ class TestBlock3D:
         assert b.global_linear(0, 0, 1) == 12
 
     def test_local_positions_match_fill_order(self):
-        """positions[i] must be the stream index of values[i]."""
-        for p, r in [(4, 0), (4, 3), (6, 2)]:
-            b = Block3D.create(8, 8, 8, p, r)
-            vals = fill_zran_block(b)
-            pos = b.local_positions()
-            whole = randlc_array(512)
-            assert np.array_equal(vals, whole[pos])
+        """positions[i] must be the stream index of values[i], for every
+        rank of every decomposition of a cubic and a non-cubic grid."""
+        for dims in [(8, 8, 8), (8, 6, 10)]:
+            ref = _scalar_stream(int(np.prod(dims)))
+            for p in FILL_SIZES:
+                for r in range(p):
+                    b = Block3D.create(*dims, p, r)
+                    vals = fill_zran_block(b)
+                    assert vals.dtype == np.float64
+                    assert vals.shape == (b.n_local,)
+                    assert np.array_equal(vals, ref[b.local_positions()]), (dims, p, r)
 
 
 class TestFill:
     @pytest.mark.parametrize("p", SIZES)
     def test_fill_independent_of_p(self, p):
-        whole = randlc_array(TINY.n_points)
+        whole = _scalar_stream(TINY.n_points)
 
         def prog(comm):
             b = Block3D.create(TINY.nx, TINY.ny, TINY.nz, comm.size, comm.rank)
@@ -62,6 +74,13 @@ class TestFill:
         parts = run_all(prog, p)
         merged = np.nanmax(np.vstack(parts), axis=0) if p > 1 else parts[0]
         assert np.array_equal(merged, whole)
+
+    def test_empty_blocks(self):
+        blocks = [Block3D.create(8, 8, 8, 13, r) for r in range(13)]
+        assert (blocks[0].px, blocks[0].py, blocks[0].pz) == (1, 1, 13)
+        for b in blocks[8:]:
+            vals = fill_zran_block(b)
+            assert vals.shape == (0,) and vals.dtype == np.float64
 
 
 class TestZran3Variants:
@@ -99,6 +118,12 @@ class TestZran3Variants:
         total_zero = sum(float((r.local == 0.0).sum()) for r in res.returns)
         assert total_plus == MM and total_minus == MM
         assert total_zero == TINY.n_points - 2 * MM
+        grid = np.zeros(TINY.n_points)
+        for r, out in enumerate(res.returns):
+            b = Block3D.create(TINY.nx, TINY.ny, TINY.nz, p, r)
+            grid[b.local_positions()] = out.local
+        assert np.all(grid[res.returns[0].top_positions] == 1.0)
+        assert np.all(grid[res.returns[0].bot_positions] == -1.0)
 
     def test_forty_vs_one_reduction(self):
         r_mpi = spmd_run(lambda comm: zran3_mpi(comm, TINY), 4)

@@ -9,6 +9,7 @@ from repro.util.rng import (
     RANDLC_SEED,
     Randlc,
     randlc_array,
+    randlc_lattice,
     randlc_pow,
     randlc_skip,
 )
@@ -103,9 +104,55 @@ class TestVectorized:
         with pytest.raises(ValueError):
             randlc_array(-1)
 
+    @pytest.mark.parametrize("skip", [-1, -2, -(2**40)])
+    def test_negative_skip_rejected(self, skip):
+        with pytest.raises(ValueError, match="skip must be non-negative"):
+            randlc_array(3, skip=skip)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": 0}, {"seed": MOD46}, {"seed": -5}, {"a": 0}, {"a": MOD46}],
+    )
+    def test_generator_validated_like_scalar(self, kwargs):
+        with pytest.raises(ValueError):
+            Randlc(**kwargs)
+        with pytest.raises(ValueError):
+            randlc_array(3, **kwargs)
+
     def test_custom_seed_and_multiplier(self):
-        out = randlc_array(50, seed=777, a=RANDLC_A)
-        assert out.tolist() == Randlc(seed=777).next_n(50)
+        a = 44485709377909  # odd, below 2**46, not the NPB default
+        out = randlc_array(50, seed=777, a=a, skip=9)
+        assert out.tolist() == Randlc(seed=777, a=a).skipped(9).next_n(50)
+
+
+class TestLattice:
+    @pytest.mark.parametrize(
+        "shape, strides",
+        [((3, 4, 5), (100, 7, 1)), ((5, 2), (1, 9)), ((4, 3), (0, 2)), ((6,), (3,))],
+    )
+    def test_matches_scalar_at_offsets(self, shape, strides):
+        skip = 11
+        out = randlc_lattice(shape, strides, skip=skip)
+        assert out.shape == shape and out.dtype == np.float64
+        for k in np.ndindex(*shape):
+            offset = skip + sum(i * s for i, s in zip(k, strides))
+            assert out[k] == Randlc().skipped(offset).next()
+
+    def test_contiguous_strides_tile_the_stream(self):
+        out = randlc_lattice((4, 5, 6), (30, 6, 1), skip=17)
+        assert np.array_equal(out.ravel(), randlc_array(120, skip=17))
+
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (3, 0, 2), (2, 2, 0)])
+    def test_empty(self, shape):
+        out = randlc_lattice(shape, (64, 8, 1))
+        assert out.shape == shape and out.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "shape, strides", [((2, 3), (1,)), ((2, -1), (3, 1)), ((2, 3), (3, -1))]
+    )
+    def test_bad_layout_rejected(self, shape, strides):
+        with pytest.raises(ValueError):
+            randlc_lattice(shape, strides)
 
 
 class TestStatistics:
